@@ -198,10 +198,12 @@ class DBM:
     def minimal_key(self) -> bytes:
         """A compact canonical key: the packed minimal constraint form.
 
-        Identifies the zone exactly like :meth:`hash_key` but is usually
+        Identifies the zone exactly like :meth:`hash_key` and is usually
         far smaller than the full matrix bytes (see
-        :mod:`repro.dbm.minform`), so long-lived interning tables — the
-        explorer's zone table, the warm cache — prefer it.  Memoized.
+        :mod:`repro.dbm.minform`), but costs a reduction plus a verifying
+        rebuild to compute.  Identity lookups (the explorer's zone table)
+        use :meth:`hash_key`; the minimal form is a storage codec, which
+        the warm cache serializes zones with.  Memoized.
         """
         if self._minkey is None:
             from . import minform as _minform
@@ -327,12 +329,17 @@ class DBM:
         return DBM(m)  # removing upper bounds preserves canonicity
 
     def down(self) -> "DBM":
-        """Delay predecessors (past): ``{v | exists d >= 0: v + d in Z}``."""
-        if self._empty:
+        """Delay predecessors (past): ``{v | exists d >= 0: v + d in Z}``.
+
+        O(dim^2) and closure-free (Bengtsson & Yi 2004): each lower bound
+        relaxes to the tightest ``x_j - x_i`` bound over rows ``j >= 1``,
+        the diagonal supplying ``(0, <=)``; the result stays canonical.
+        """
+        if self._empty or self.dim == 1:
             return self
         m = self.m.copy()
-        m[0, 1:] = LE_ZERO
-        return DBM._from_raw(m)
+        m[0, 1:] = m[1:, 1:].min(axis=0)
+        return DBM(m)
 
     def reset(self, clocks: Sequence[int]) -> "DBM":
         """The zone after setting each clock in ``clocks`` to 0."""

@@ -5,10 +5,11 @@ nonempty zone is regenerated exactly by a small subset of its
 constraints — collapse zero-cycles first, then drop every bound
 derivable through an intermediate clock.  The form is *canonical for
 canonical inputs*: equal zones produce the identical constraint list,
-which makes it the cheapest faithful serialization of a zone (the warm
-solve cache stores it) and a compact interning key
-(:meth:`repro.dbm.DBM.minimal_key`, used by the simulation-graph
-explorer to deduplicate zone objects).
+which makes it the cheapest faithful serialization of a zone: the warm
+solve cache stores zones in it.  It is a storage codec, not an identity
+key — computing it costs a reduction plus a verifying rebuild, while a
+canonical matrix's own bytes (:meth:`repro.dbm.DBM.hash_key`) already
+identify the zone, and the simulation-graph explorer interns by those.
 
 Promoted here from ``repro.game.warm`` so the DBM layer owns its own
 codec; the warm cache imports these functions unchanged.

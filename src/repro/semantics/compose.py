@@ -41,9 +41,8 @@ batched guard/reset/invariant/delay pipeline per internal move
 inclusion-matrix comparison for frontier subsumption
 (:func:`repro.dbm.stack.subsume_frontier`), one vectorized rescale
 (:func:`repro.dbm.stack.scale_stack`).  Groups below
-:func:`repro.dbm.stack.batch_min` members take the per-zone path
-(``REPRO_BATCH_MIN`` overrides the threshold), and the
-per-zone path is also kept wholesale (``batch=False``, or the
+:data:`repro.dbm.stack.BATCH_MIN` members take the per-zone path, and
+the per-zone path is also kept wholesale (``batch=False``, or the
 ``REPRO_ESTIMATE_SCALAR`` environment variable) as the differential
 reference the fuzz harness cross-checks the kernels against.
 
@@ -155,7 +154,7 @@ class StateEstimate:
             batch = not os.environ.get("REPRO_ESTIMATE_SCALAR")
         self.batch = bool(batch)
         self.batch_min = (
-            _sk.batch_min() if batch_min is None else max(1, batch_min)
+            _sk.BATCH_MIN if batch_min is None else max(1, batch_min)
         )
         self.scale = 1
         # Largest time scale for which every scaled model constant stays

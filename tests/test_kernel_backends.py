@@ -2,11 +2,11 @@
 
 Covers the selection/fallback behavior of :mod:`repro.dbm.backends`
 (environment variable, ``auto`` probing, unavailable-backend fallback,
-counters), the ``REPRO_BATCH_MIN`` dispatch override, per-backend
-exactness differentials on the hot kernels, and the minimal-constraint
-form promoted into :mod:`repro.dbm.minform` (round-trip and
-key-stability properties, plus the explorer's zone-object interning
-built on it).
+counters), the batched-dispatch threshold, per-backend exactness
+differentials on the hot kernels and on the closure-free ``down``, the
+minimal-constraint form in :mod:`repro.dbm.minform` (round-trip and
+key-stability properties), and the explorer's zone-object interning,
+pinned to the LEP graph sizes.
 """
 
 import random
@@ -14,17 +14,22 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from repro.dbm import DBM, minimal_constraints, verified_minimal_constraints
+from repro.dbm import DBM, le, minimal_constraints, verified_minimal_constraints
 from repro.dbm import backends as backends_mod
 from repro.dbm import stack as sk
 from repro.dbm.backends.base import BackendUnavailable, KernelBackend
 from repro.dbm.backends.numba_backend import python_kernels
+from repro.dbm.bounds import LE_ZERO
+from repro.game import OnTheFlySolver, TwoPhaseSolver
 from repro.gen.zones import random_zone
 from repro.graph.explorer import SimulationGraph
+from repro.models.lep import TEST_PURPOSES, lep_network
 from repro.semantics.system import System
 from repro.ta.builder import NetworkBuilder
+from repro.tctl import parse_query
 from repro.util import counters
 from tests.zone_strategies import DIM, diagonal_zones, zones
 
@@ -42,7 +47,6 @@ def instance_of(name):
 def _clean_backend_state(monkeypatch):
     """Each test starts from an unresolved selection and a clean env."""
     monkeypatch.delenv(backends_mod.ENV_VAR, raising=False)
-    monkeypatch.delenv("REPRO_BATCH_MIN", raising=False)
     previous = backends_mod.set_backend(None)
     yield
     backends_mod.set_backend(None)
@@ -111,14 +115,10 @@ def test_every_available_backend_satisfies_protocol():
 # ----------------------------------------------------------------------
 
 
-def test_batch_min_default_and_override(monkeypatch):
-    assert sk.batch_min() == sk.BATCH_MIN
-    monkeypatch.setenv("REPRO_BATCH_MIN", "7")
-    assert sk.batch_min() == 7
-    monkeypatch.setenv("REPRO_BATCH_MIN", "0")
-    assert sk.batch_min() == 1  # clamped to at least one
-    monkeypatch.setenv("REPRO_BATCH_MIN", "junk")
-    assert sk.batch_min() == sk.BATCH_MIN
+def test_batch_min_default():
+    from repro.semantics import StateEstimate
+
+    assert StateEstimate(System(_loop_network())).batch_min == sk.BATCH_MIN
 
 
 def test_federation_records_dispatch_decisions(monkeypatch):
@@ -131,7 +131,7 @@ def test_federation_records_dispatch_decisions(monkeypatch):
     ]
     small = Federation(3, strips[:2])
     big = Federation(3, strips)
-    assert len(small) == 2 < sk.batch_min() <= len(big) == 4
+    assert len(small) == 2 < sk.BATCH_MIN <= len(big) == 4
     small.intersect_zone(strips[0])  # below threshold: scalar path
     big.intersect_zone(strips[0])  # above threshold: batched path
     exported = counters.export()["counts"]
@@ -233,6 +233,42 @@ def test_backend_subsumption_matches_reference(backend_name):
         got_keep, got_drop = backend.subsume_frontier(new.copy(), seen)
         assert np.array_equal(ref_keep, got_keep)
         assert np.array_equal(ref_drop, got_drop)
+
+
+@st.composite
+def past_inputs(draw):
+    """Canonical zones of dim 1..5 with strict bounds and, often, a
+    zero-cycle ``x_i - x_j == c`` (the shapes the closure-free ``down``
+    must relax exactly like a full reclosure)."""
+    dim = draw(st.integers(1, 5))
+    zone = draw(zones(dim=dim))
+    if dim > 1 and draw(st.booleans()):
+        i, j = draw(st.permutations(range(dim)))[:2]
+        c = draw(st.integers(-6, 6))
+        zone = zone.constrained([(i, j, le(c)), (j, i, le(-c))])
+    return zone
+
+
+@pytest.mark.parametrize("backend_name", UNDER_TEST)
+@settings(max_examples=120, deadline=None)
+@given(zone=past_inputs())
+@example(zone=DBM.universal(1))
+@example(zone=DBM.from_constraints(3, [(1, 2, le(2)), (2, 1, le(-2))]))
+def test_canonical_down_is_exact(backend_name, zone):
+    """``down`` equals reclosing the row-0-cleared matrix, byte for byte."""
+    with backends_mod.use_backend(instance_of(backend_name)):
+        raw = zone.m.copy()
+        raw[0, 1:] = LE_ZERO
+        reference = DBM._from_raw(raw)
+    got = zone.down()
+    if zone.is_empty():
+        assert got.is_empty()
+        return
+    assert not got.is_empty() and not reference.is_empty()
+    assert got.hash_key() == reference.hash_key()
+    stacked = np.stack([zone.m, zone.m])
+    assert sk.down(stacked).tolist() == [True, True]
+    assert stacked[0].tobytes() == stacked[1].tobytes() == reference.m.tobytes()
 
 
 @pytest.mark.parametrize(
@@ -358,21 +394,39 @@ def _loop_network():
 
 
 def test_explorer_interns_equal_zones():
-    graph = SimulationGraph(System(_loop_network()))
+    graph = SimulationGraph(System(lep_network(3)))
     graph.explore_all()
     ids = {}
     for node in graph.nodes:
-        ids.setdefault(node.zone.minimal_key(), set()).add(
-            id(node.zone)
-        )
+        ids.setdefault(node.zone.hash_key(), set()).add(id(node.zone))
+    assert len(ids) < graph.node_count  # some zone recurs across states
     for key, objects in ids.items():
         assert len(objects) == 1, "equal zones must share one DBM object"
 
 
 def test_explorer_interning_preserves_graph_shape():
-    reference = SimulationGraph(System(_loop_network()))
-    reference.explore_all()
-    again = SimulationGraph(System(_loop_network()))
-    again.explore_all()
-    assert reference.node_count == again.node_count
-    assert reference.edge_count == again.edge_count
+    """Interning that merged or split zones would move these counts."""
+    graph = SimulationGraph(System(lep_network(3)))
+    graph.explore_all()
+    assert (graph.node_count, graph.edge_count) == (761, 2127)
+
+
+#: Nodes each LEP n=4 Table 1 cell explores, per solver.
+LEP_N4_NODES = {
+    ("on-the-fly", "TP1"): 79,
+    ("on-the-fly", "TP2"): 403,
+    ("on-the-fly", "TP3"): 403,
+    ("two-phase", "TP1"): 2882,
+    ("two-phase", "TP2"): 2882,
+    ("two-phase", "TP3"): 2882,
+}
+
+
+@pytest.mark.parametrize("solver,tp", sorted(LEP_N4_NODES))
+def test_lep_graph_sizes_pinned(solver, tp):
+    solver_cls = OnTheFlySolver if solver == "on-the-fly" else TwoPhaseSolver
+    result = solver_cls(
+        System(lep_network(4)), parse_query(TEST_PURPOSES[tp])
+    ).solve()
+    assert result.winning
+    assert result.nodes_explored == LEP_N4_NODES[(solver, tp)]
