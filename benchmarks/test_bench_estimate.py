@@ -7,19 +7,15 @@ Two families:
   syncs resetting different clocks, so ``2^m`` pairwise-incomparable
   zones pile up per discrete state — exactly the shape the stacked
   kernel batches (one guard/reset/invariant/delay pipeline per group,
-  one broadcast subsumption matrix per wave).  The per-zone reference
-  path is selected by ``REPRO_ESTIMATE_SCALAR=1``, which is how the
-  committed ``BENCH_pre_pr5`` baseline was recorded.
+  one broadcast subsumption matrix per wave).  The committed
+  ``BENCH_pre_pr5`` baseline was recorded on the per-zone reference
+  path, which ``StateEstimate(..., batch=False)`` still selects.
 * **session** — end-to-end estimated-monitor conformance sessions on
   generated composed plants (the unit price the sharded differential
   campaign pays per instance), plus the campaign sharding overhead
   itself at ``jobs`` 1 vs 2 on a small instance window.
 
-Benchmarks use the *default* estimate mode so one command measures
-whatever the environment selects — record a scalar baseline with::
-
-    REPRO_ESTIMATE_SCALAR=1 python -m pytest benchmarks/test_bench_estimate.py \
-        --benchmark-json pre.json
+Benchmarks use the *default* (batched) estimate mode.
 """
 
 from fractions import Fraction

@@ -2,7 +2,7 @@ from setuptools import find_packages, setup
 
 setup(
     name="repro-timed-game-testing",
-    version="1.2.0",
+    version="1.3.0",
     description=(
         "Game-theoretic real-time system testing: timed I/O game automata,"
         " a DBM/federation kernel, winning-strategy synthesis, tioco/rtioco"
@@ -29,11 +29,6 @@ setup(
             "pytest>=7",
             "hypothesis>=6",
             "pytest-benchmark>=4",
-        ],
-        # Optional JIT zone-kernel backend (REPRO_KERNEL_BACKEND=numba);
-        # absence degrades to the numpy reference, never an error.
-        "numba": [
-            "numba>=0.57",
         ],
     },
     entry_points={

@@ -103,7 +103,7 @@ def __getattr__(name):
 def __dir__():
     return sorted(set(globals()) | set(_SERVER_EXPORTS))
 
-__version__ = "1.2.0"
+__version__ = "1.3.0"
 
 __all__ = [
     "AutomatonBuilder",

@@ -4,14 +4,12 @@ The stacked-DBM dispatch layer (:mod:`repro.dbm.stack`) asks
 :func:`active` for the current :class:`~repro.dbm.backends.base.KernelBackend`
 on every hot-kernel call.  Selection:
 
-* ``REPRO_KERNEL_BACKEND=numpy|numba|cext|auto`` picks the backend at
-  first use (default ``numpy``, the pure-numpy reference).
-* ``auto`` probes ``numba`` → ``cext`` → ``numpy`` and takes the first
-  that loads, silently.
-* Naming an unavailable backend explicitly falls back to ``numpy`` with
-  a one-time :class:`RuntimeWarning` and a ``dbm.backend_fallbacks``
-  counter bump — a missing JIT must never turn into a hard failure in a
-  test campaign.
+* ``REPRO_KERNEL_BACKEND=numpy|cext`` picks the backend at first use
+  (default ``numpy``, the pure-numpy reference).
+* Naming a backend that cannot load falls back to ``numpy`` with a
+  one-time :class:`RuntimeWarning` and a ``dbm.backend_fallbacks``
+  counter bump — a missing C compiler must never turn into a hard
+  failure in a test campaign.
 
 Every resolution bumps ``dbm.backend_selected_<name>`` and each
 dispatched kernel call bumps ``dbm.backend_<name>`` (via the backend's
@@ -48,11 +46,7 @@ __all__ = [
 
 ENV_VAR = "REPRO_KERNEL_BACKEND"
 
-#: ``auto`` preference order: numba (when installed) beats the bundled C
-#: extension on fused kernels, and anything compiled beats numpy.
-AUTO_ORDER = ("numba", "cext", "numpy")
-
-BACKEND_NAMES = ("numpy", "numba", "cext")
+BACKEND_NAMES = ("numpy", "cext")
 
 _active: Optional[KernelBackend] = None
 _warned_fallback = False
@@ -153,7 +147,7 @@ class GuardedBackend:
 def _load(name: str) -> KernelBackend:
     """Instantiate one backend by name; raises :class:`BackendUnavailable`.
 
-    Compiled backends come wrapped in :class:`GuardedBackend`, so a
+    The compiled backend comes wrapped in :class:`GuardedBackend`, so a
     runtime kernel fault demotes to the numpy reference instead of
     crashing whatever campaign or server session made the call.
     """
@@ -161,55 +155,36 @@ def _load(name: str) -> KernelBackend:
         from .numpy_backend import NumpyBackend
 
         return NumpyBackend()
-    if name == "numba":
-        from .numba_backend import NumbaBackend
-
-        backend = NumbaBackend()
-        return GuardedBackend(backend) if backend.compiled else backend
     if name == "cext":
         from .cext import CExtBackend
 
-        backend = CExtBackend()
-        return GuardedBackend(backend) if backend.compiled else backend
+        return GuardedBackend(CExtBackend())
     raise BackendUnavailable(
         f"unknown kernel backend {name!r} "
-        f"(expected one of {', '.join(BACKEND_NAMES)}, or 'auto')"
+        f"(expected one of {', '.join(BACKEND_NAMES)})"
     )
 
 
 def resolve(spec: Optional[str]) -> KernelBackend:
-    """Resolve a backend spec (``numpy|numba|cext|auto``) to an instance.
+    """Resolve a backend spec (``numpy|cext``) to an instance.
 
-    Explicit names fall back to numpy (warning + counter) when the
-    backend cannot load; ``auto`` falls through its preference order
-    silently — not having an optional accelerator is the expected state,
-    not a misconfiguration.
+    A backend that cannot load falls back to numpy (warning + counter).
     """
     global _warned_fallback
     spec = (spec or "numpy").strip().lower()
-    backend: Optional[KernelBackend] = None
-    if spec == "auto":
-        for name in AUTO_ORDER:
-            try:
-                backend = _load(name)
-                break
-            except BackendUnavailable:
-                continue
-    else:
-        try:
-            backend = _load(spec)
-        except BackendUnavailable as exc:
-            counters.inc("dbm.backend_fallbacks")
-            if not _warned_fallback:
-                _warned_fallback = True
-                warnings.warn(
-                    f"kernel backend {spec!r} unavailable, "
-                    f"falling back to numpy: {exc}",
-                    RuntimeWarning,
-                    stacklevel=3,
-                )
-            backend = _load("numpy")
-    assert backend is not None  # numpy always loads
+    try:
+        backend = _load(spec)
+    except BackendUnavailable as exc:
+        counters.inc("dbm.backend_fallbacks")
+        if not _warned_fallback:
+            _warned_fallback = True
+            warnings.warn(
+                f"kernel backend {spec!r} unavailable, "
+                f"falling back to numpy: {exc}",
+                RuntimeWarning,
+                stacklevel=3,
+            )
+        backend = _load("numpy")
     counters.inc(f"dbm.backend_selected_{backend.name}")
     return backend
 

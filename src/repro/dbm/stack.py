@@ -20,10 +20,10 @@ The hot kernels — ``close``, ``extrapolate``, ``inclusion_matrix``,
 ``reduce_indices``, ``subsume_frontier``, ``hidden_post_step``,
 ``any_hidden_post`` — dispatch through a pluggable
 :class:`~repro.dbm.backends.base.KernelBackend`
-(``REPRO_KERNEL_BACKEND=numpy|numba|cext|auto``).  The pure-numpy bodies
-live on as module-private ``_*_ref`` functions: they are the default
-backend, the differential ground truth the ``kernel`` fuzz check holds
-every other backend to, and they compose only each other (never the
+(``REPRO_KERNEL_BACKEND=numpy|cext``).  The pure-numpy bodies live on
+as module-private ``_*_ref`` functions: they are the default backend,
+the differential ground truth the ``kernel`` fuzz check holds the
+compiled backend to, and they compose only each other (never the
 dispatched wrappers), so the reference path stays reference even while a
 compiled backend is active.  The cheap plumbing (gathers, masks,
 ``reset``/``shift``/``up``, rescaling) stays plain numpy for every

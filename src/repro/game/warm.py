@@ -93,9 +93,8 @@ FORMAT_VERSION = 1
 def warm_disabled() -> bool:
     """True when ``REPRO_WARM_OFF=1`` forces cold solving everywhere.
 
-    The benchmark-pair knob (like ``REPRO_ESTIMATE_SCALAR`` for the
-    stacked kernel): lets the committed pre/post benchmark pair record
-    the cold baseline on identical code, and gives operators a
+    The benchmark-pair knob: lets the committed pre/post benchmark pair
+    record the cold baseline on identical code, and gives operators a
     kill-switch should a cache directory ever be suspected stale.
     """
     return os.environ.get("REPRO_WARM_OFF") == "1"

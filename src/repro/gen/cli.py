@@ -36,7 +36,6 @@ from ..corpus import (
     plan_mutations,
 )
 from .. import faults
-from ..dbm import backends as dbm_backends
 from ..par import parse_jobs
 from ..util import counters
 from .differential import CHECKS, DiffConfig, run_campaign
@@ -174,17 +173,6 @@ def build_parser() -> argparse.ArgumentParser:
         " by the nightly deep-fuzz job",
     )
     parser.add_argument(
-        "--kernel-backend",
-        choices=["numpy", "numba", "cext", "auto"],
-        default=None,
-        metavar="NAME",
-        help="dispatch hot DBM kernels through this backend for the whole"
-        " campaign (numpy|numba|cext|auto; default: the"
-        " REPRO_KERNEL_BACKEND environment variable, else numpy)."
-        " Results are backend-independent — the always-on 'kernel' check"
-        " enforces exactness — so this is a speed/soak knob",
-    )
-    parser.add_argument(
         "--faults",
         metavar="SPEC",
         default=None,
@@ -300,11 +288,6 @@ def _report_payload(
 
 def main(argv: Optional[List[str]] = None) -> int:
     args = build_parser().parse_args(argv)
-    if args.kernel_backend:
-        # Via the environment (not set_backend) so campaign worker
-        # processes inherit the same selection.
-        os.environ[dbm_backends.ENV_VAR] = args.kernel_backend
-        dbm_backends.set_backend(None)
     if args.faults:
         # Arm here and via the environment: pool workers self-arm from
         # REPRO_FAULTS at their first injection probe.

@@ -74,7 +74,6 @@ from .. import faults
 from ..dbm import Federation, bound
 from ..dbm import backends as dbm_backends
 from ..dbm import stack as _sk
-from ..dbm.backends.numba_backend import python_kernels
 from ..game.solver import GameResult, OnTheFlySolver, TwoPhaseSolver
 from ..graph.explorer import ExplorationLimit, SimulationGraph
 from ..par import steal_map
@@ -1013,19 +1012,17 @@ def _kernel_trial_mismatch(
 
 def check_kernel(instance: GeneratedInstance, cfg: DiffConfig) -> CheckResult:
     """Backend exactness differential: every loadable kernel backend
-    (plus the numba bodies run as pure Python, so the loop logic is
-    fuzzed even where no JIT or C toolchain exists) against the numpy
-    reference kernels, on seeded random zone stacks.
+    against the numpy reference kernels, on seeded random zone stacks.
 
-    The compiled analogue of ``REPRO_ESTIMATE_SCALAR``'s scalar/batched
-    estimate differential: always on, so no campaign can silently run on
-    a kernel backend that was never cross-checked.
+    The compiled analogue of the per-zone/batched ``estimate``
+    differential: always on, so no campaign can silently run on a
+    kernel backend that was never cross-checked.
     """
-    backends_under_test = [python_kernels()]
-    for name in dbm_backends.available_backends():
-        if name == "numpy":
-            continue  # the reference itself
-        backends_under_test.append(dbm_backends.resolve(name))
+    backends_under_test = [
+        dbm_backends.resolve(name)
+        for name in dbm_backends.available_backends()
+        if name != "numpy"  # the reference itself
+    ]
     rng = random.Random(instance.seed ^ 0x6B65726E)  # "kern"
     for trial in range(8):
         trial_seed = rng.randrange(2**63)

@@ -1,12 +1,12 @@
 """Kernel backend seam: registry, dispatch, and minimal-form interning.
 
 Covers the selection/fallback behavior of :mod:`repro.dbm.backends`
-(environment variable, ``auto`` probing, unavailable-backend fallback,
-counters), the batched-dispatch threshold, per-backend exactness
-differentials on the hot kernels and on the closure-free ``down``, the
-minimal-constraint form in :mod:`repro.dbm.minform` (round-trip and
-key-stability properties), and the explorer's zone-object interning,
-pinned to the LEP graph sizes.
+(environment variable, unavailable-backend fallback, counters), the
+batched-dispatch threshold, per-backend exactness differentials on the
+hot kernels and on the closure-free ``down``, the minimal-constraint
+form in :mod:`repro.dbm.minform` (round-trip and key-stability
+properties), and the explorer's zone-object interning, pinned to the LEP
+graph sizes.
 """
 
 import random
@@ -21,7 +21,6 @@ from repro.dbm import DBM, le, minimal_constraints, verified_minimal_constraints
 from repro.dbm import backends as backends_mod
 from repro.dbm import stack as sk
 from repro.dbm.backends.base import BackendUnavailable, KernelBackend
-from repro.dbm.backends.numba_backend import python_kernels
 from repro.dbm.bounds import LE_ZERO
 from repro.game import OnTheFlySolver, TwoPhaseSolver
 from repro.gen.zones import random_zone
@@ -34,13 +33,6 @@ from repro.util import counters
 from tests.zone_strategies import DIM, diagonal_zones, zones
 
 AVAILABLE = backends_mod.available_backends()
-UNDER_TEST = AVAILABLE + ["numba-py"]
-
-
-def instance_of(name):
-    if name == "numba-py":
-        return python_kernels()
-    return backends_mod.resolve(name)
 
 
 @pytest.fixture(autouse=True)
@@ -71,11 +63,6 @@ def test_env_var_selects_backend(monkeypatch):
     assert backends_mod.active().name == "numpy"
 
 
-def test_auto_resolves_to_some_available_backend():
-    backend = backends_mod.resolve("auto")
-    assert backend.name in AVAILABLE
-
-
 def test_unavailable_explicit_backend_falls_back_with_warning():
     counters.reset()
     backends_mod._warned_fallback = False
@@ -98,14 +85,14 @@ def test_resolution_and_dispatch_counters():
 
 def test_use_backend_restores_previous():
     before = backends_mod.active().name
-    with backends_mod.use_backend(python_kernels()) as installed:
+    with backends_mod.use_backend(backends_mod.resolve("numpy")) as installed:
         assert backends_mod.active() is installed
     assert backends_mod.active().name == before
 
 
 def test_every_available_backend_satisfies_protocol():
-    for name in UNDER_TEST:
-        backend = instance_of(name)
+    for name in AVAILABLE:
+        backend = backends_mod.resolve(name)
         assert isinstance(backend, KernelBackend)
         assert backend.counter.startswith("dbm.backend_")
 
@@ -144,9 +131,9 @@ def test_federation_records_dispatch_decisions(monkeypatch):
 # ----------------------------------------------------------------------
 
 
-@pytest.mark.parametrize("backend_name", UNDER_TEST)
+@pytest.mark.parametrize("backend_name", AVAILABLE)
 def test_backend_close_matches_reference(backend_name):
-    backend = instance_of(backend_name)
+    backend = backends_mod.resolve(backend_name)
     rng = random.Random(7)
     for _ in range(25):
         dim = rng.randint(2, 5)
@@ -164,9 +151,9 @@ def test_backend_close_matches_reference(backend_name):
         assert np.array_equal(ref_m[ref_ok], got_m[ref_ok])
 
 
-@pytest.mark.parametrize("backend_name", UNDER_TEST)
+@pytest.mark.parametrize("backend_name", AVAILABLE)
 def test_backend_fused_post_matches_reference(backend_name):
-    backend = instance_of(backend_name)
+    backend = backends_mod.resolve(backend_name)
     rng = random.Random(11)
     for _ in range(25):
         dim = rng.randint(3, 5)
@@ -207,9 +194,9 @@ def test_backend_fused_post_matches_reference(backend_name):
         ) == sk._any_hidden_post_ref(stack.copy(), guard, resets, shifts, inv)
 
 
-@pytest.mark.parametrize("backend_name", UNDER_TEST)
+@pytest.mark.parametrize("backend_name", AVAILABLE)
 def test_backend_subsumption_matches_reference(backend_name):
-    backend = instance_of(backend_name)
+    backend = backends_mod.resolve(backend_name)
     rng = random.Random(13)
     for _ in range(25):
         dim = rng.randint(2, 5)
@@ -249,14 +236,14 @@ def past_inputs(draw):
     return zone
 
 
-@pytest.mark.parametrize("backend_name", UNDER_TEST)
+@pytest.mark.parametrize("backend_name", AVAILABLE)
 @settings(max_examples=120, deadline=None)
 @given(zone=past_inputs())
 @example(zone=DBM.universal(1))
 @example(zone=DBM.from_constraints(3, [(1, 2, le(2)), (2, 1, le(-2))]))
 def test_canonical_down_is_exact(backend_name, zone):
     """``down`` equals reclosing the row-0-cleared matrix, byte for byte."""
-    with backends_mod.use_backend(instance_of(backend_name)):
+    with backends_mod.use_backend(backends_mod.resolve(backend_name)):
         raw = zone.m.copy()
         raw[0, 1:] = LE_ZERO
         reference = DBM._from_raw(raw)
@@ -272,7 +259,7 @@ def test_canonical_down_is_exact(backend_name, zone):
 
 
 @pytest.mark.parametrize(
-    "backend_name", [n for n in UNDER_TEST if n != "numpy"]
+    "backend_name", [n for n in AVAILABLE if n != "numpy"]
 )
 def test_estimate_session_identical_across_backends(backend_name):
     """End-to-end: a monitor session agrees exactly with the numpy run."""
@@ -310,7 +297,7 @@ def test_estimate_session_identical_across_backends(backend_name):
         return trace
 
     reference = drive()
-    with backends_mod.use_backend(instance_of(backend_name)):
+    with backends_mod.use_backend(backends_mod.resolve(backend_name)):
         assert drive() == reference
 
 

@@ -11,12 +11,13 @@ campaign.
 """
 
 import json
+import os
 
 import pytest
 
 from repro.gen.cli import VOLATILE_REPORT_KEYS, main as cli_main
 from repro.models.smartlight import smartlight_network, smartlight_plant
-from repro.par import auto_jobs, parse_jobs, resolve_jobs, starmap, steal_map
+from repro.par import auto_jobs, parse_jobs, resolve_jobs, steal_map
 from repro.testing import MutantSpec, MutationCampaign
 from repro.util import counters
 
@@ -34,50 +35,18 @@ def boom(x):
     raise ValueError(f"boom {x}")
 
 
+def pid_of(_):
+    return os.getpid()
+
+
 def count_and_square(x):
     counters.inc("par.test_ops")
     counters.observe("par.test_sizes", x)
     return x * x
 
 
-class TestStarmap:
-    def test_serial_matches_parallel_in_order(self):
-        tasks = [(i,) for i in range(23)]
-        serial = starmap(square, tasks, jobs=1)
-        parallel = starmap(square, tasks, jobs=3)
-        assert serial == parallel == [i * i for i in range(23)]
-
-    def test_single_task_stays_in_process(self):
-        assert starmap(square, [(7,)], jobs=8) == [49]
-
-    def test_on_result_fires_once_per_task(self):
-        seen = []
-        starmap(square, [(i,) for i in range(10)], jobs=2, on_result=seen.append)
-        assert sorted(seen) == [i * i for i in range(10)]
-
-    def test_worker_exception_propagates(self):
-        with pytest.raises(ValueError, match="boom"):
-            starmap(boom, [(1,), (2,)], jobs=2)
-
-    def test_counters_survive_the_pool(self):
-        counters.reset()
-        starmap(count_and_square, [(i,) for i in range(12)], jobs=3)
-        exported = counters.export()
-        assert exported["counts"]["par.test_ops"] == 12
-        count, total, peak = exported["stats"]["par.test_sizes"]
-        assert (count, total, peak) == (12, sum(range(12)), 11)
-
-    def test_counters_identical_to_serial(self):
-        counters.reset()
-        starmap(count_and_square, [(i,) for i in range(12)], jobs=1)
-        serial = counters.export()
-        counters.reset()
-        starmap(count_and_square, [(i,) for i in range(12)], jobs=4)
-        assert counters.export() == serial
-
-
 class TestStealMap:
-    """Work-stealing dispatch must keep the starmap determinism contract."""
+    """Work-stealing dispatch must keep the determinism contract."""
 
     def test_serial_matches_parallel_in_order(self):
         tasks = [(i,) for i in range(23)]
@@ -85,9 +54,8 @@ class TestStealMap:
         stolen = steal_map(square, tasks, jobs=3)
         assert serial == stolen == [i * i for i in range(23)]
 
-    def test_matches_chunked_starmap(self):
-        tasks = [(i,) for i in range(17)]
-        assert steal_map(square, tasks, jobs=4) == starmap(square, tasks, jobs=4)
+    def test_single_task_stays_in_process(self):
+        assert steal_map(pid_of, [(0,)], jobs=8) == [os.getpid()]
 
     def test_on_result_receives_indexed_pairs(self):
         seen = []
@@ -112,6 +80,14 @@ class TestStealMap:
     def test_worker_exception_propagates(self):
         with pytest.raises(ValueError, match="boom"):
             steal_map(boom, [(1,), (2,)], jobs=2)
+
+    def test_counters_survive_the_pool(self):
+        counters.reset()
+        steal_map(count_and_square, [(i,) for i in range(12)], jobs=3)
+        exported = counters.export()
+        assert exported["counts"]["par.test_ops"] == 12
+        count, total, peak = exported["stats"]["par.test_sizes"]
+        assert (count, total, peak) == (12, sum(range(12)), 11)
 
     def test_counters_identical_to_serial(self):
         counters.reset()
