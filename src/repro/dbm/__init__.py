@@ -13,9 +13,8 @@ from .bounds import (
     le,
     lt,
     negate,
-    satisfies,
 )
-from .dbm import DBM, Constraint
+from .dbm import DBM, Constraint, ScaledValuation
 from .federation import Federation, subtract_zone
 from .minform import minimal_constraints, verified_minimal_constraints
 
@@ -32,9 +31,9 @@ __all__ = [
     "le",
     "lt",
     "negate",
-    "satisfies",
     "DBM",
     "Constraint",
+    "ScaledValuation",
     "Federation",
     "subtract_zone",
     "minimal_constraints",

@@ -13,7 +13,9 @@ pointwise comparisons.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from fractions import Fraction
+from math import gcd
+from typing import Dict, Iterable, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -26,10 +28,46 @@ from .bounds import (
     add_bounds,
     bound_as_string,
     decode,
-    satisfies,
 )
 
 Constraint = Tuple[int, int, int]  # (i, j, encoded bound): x_i - x_j ≺ b
+
+#: A finite bound ``x_i - x_j ≺ c`` as Python ints ``(i, j, c, nonstrict)``,
+#: ``nonstrict`` 1 for ``<=`` and 0 for ``<`` (the low bit of the encoding).
+IntBound = Tuple[int, int, int, int]
+
+
+class ScaledValuation(NamedTuple):
+    """A clock valuation over one common denominator.
+
+    ``valuation[i] == ints[i] / den`` for every clock; ``ints[0]`` is the
+    reference clock and always 0.  Scaling once per concrete state turns
+    every zone-membership test against it into integer arithmetic (see
+    :meth:`DBM.contains`).
+    """
+
+    den: int
+    ints: Tuple[int, ...]
+
+    @classmethod
+    def of(cls, valuation) -> "ScaledValuation":
+        """Scale a valuation of ints, Fractions or floats (``[0]`` ignored).
+
+        Floats convert exactly, through ``Fraction(float)``; an already
+        scaled valuation is returned as is.
+        """
+        if type(valuation) is cls:
+            return valuation
+        pairs = []
+        den = 1
+        for v in valuation[1:]:
+            if isinstance(v, float):
+                v = Fraction(v)
+            d = v.denominator
+            if d != 1 and den % d:
+                den = den // gcd(den, d) * d
+            pairs.append((v.numerator, d))
+        return cls(den, (0,) + tuple(n * (den // d) for n, d in pairs))
 
 
 def _saturating_add(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -90,7 +128,7 @@ def _extra_caps(dim: int, key: Tuple[int, ...]):
 class DBM:
     """A canonical difference bound matrix (a convex clock zone)."""
 
-    __slots__ = ("m", "dim", "_empty", "_hash", "_key", "_minkey")
+    __slots__ = ("m", "dim", "_empty", "_hash", "_key", "_minkey", "_ibounds")
 
     def __init__(self, matrix: np.ndarray, *, empty: bool = False):
         self.m = matrix
@@ -99,6 +137,7 @@ class DBM:
         self._hash: Optional[int] = None
         self._key: Optional[bytes] = None
         self._minkey: Optional[bytes] = None
+        self._ibounds: Optional[Tuple[IntBound, ...]] = None
 
     # ------------------------------------------------------------------
     # Construction
@@ -433,19 +472,42 @@ class DBM:
     # Concrete valuations
     # ------------------------------------------------------------------
 
-    def contains(self, valuation: Sequence) -> bool:
-        """Whether a concrete valuation (indexable by clock id, [0]=0) lies
-        in the zone.  Values may be ints, floats or Fractions."""
+    def int_bounds(self) -> Tuple[IntBound, ...]:
+        """The finite off-diagonal bounds as Python-int :data:`IntBound` s.
+
+        Read once from the matrix and cached: a canonical DBM never
+        changes, just like its :meth:`hash_key`.
+        """
+        bounds = self._ibounds
+        if bounds is None:
+            bounds = self._ibounds = tuple(
+                (i, j, enc >> 1, enc & 1)
+                for i, row in enumerate(self.m.tolist())
+                for j, enc in enumerate(row)
+                if i != j and enc < INF
+            )
+        return bounds
+
+    def contains(self, valuation) -> bool:
+        """Whether a concrete valuation (indexable by clock id, [0] ignored)
+        lies in the zone.
+
+        Values may be ints, Fractions or floats (taken exactly), or a
+        :class:`ScaledValuation`.  The valuation is scaled to one common
+        denominator ``den``, so each bound ``v_i - v_j ≺ c`` is the
+        allocation-free integer test ``ints[i] - ints[j] - c*den <
+        nonstrict`` against the zone's cached :meth:`int_bounds`.
+        """
         if self._empty:
             return False
-        for i in range(self.dim):
-            vi = valuation[i] if i else 0
-            for j in range(self.dim):
-                if i == j:
-                    continue
-                vj = valuation[j] if j else 0
-                if not satisfies(vi - vj, int(self.m[i, j])):
-                    return False
+        return self._holds(ScaledValuation.of(valuation))
+
+    def _holds(self, point: ScaledValuation) -> bool:
+        """:meth:`contains` for a nonempty zone and a scaled valuation."""
+        den, ints = point
+        for i, j, c, nonstrict in self.int_bounds():
+            if ints[i] - ints[j] - c * den >= nonstrict:
+                return False
         return True
 
     def _feasible_interval(self, point, x):
@@ -455,8 +517,6 @@ class DBM:
         unbounded.  Nonempty by the triangle inequality on canonical DBMs
         (the standard point-construction argument).
         """
-        from fractions import Fraction
-
         lo = Fraction(0)
         lo_strict = False
         hi: Optional[Fraction] = None
@@ -488,8 +548,6 @@ class DBM:
         Prefers the lowest feasible value; takes midpoints at strict
         boundaries.
         """
-        from fractions import Fraction
-
         if self._empty:
             return None
         point: List[Fraction] = [Fraction(0)] * self.dim
@@ -514,8 +572,6 @@ class DBM:
         randomized membership cross-checks.  ``rng`` is a
         ``random.Random``; the result is deterministic per seed.
         """
-        from fractions import Fraction
-
         if self._empty:
             return None
         point: List[Fraction] = [Fraction(0)] * self.dim

@@ -55,7 +55,7 @@ import numpy as np
 from ..util import counters
 from . import stack as _sk
 from .bounds import INF, LE_ZERO, negate
-from .dbm import DBM
+from .dbm import DBM, ScaledValuation
 
 def _use_batched(batched: bool) -> bool:
     """Record a batched-vs-scalar dispatch decision as it is made.
@@ -174,8 +174,18 @@ class Federation:
         return iter(self.zones)
 
     def contains(self, valuation) -> bool:
-        """Whether a concrete valuation lies in some member zone."""
-        return any(z.contains(valuation) for z in self.zones)
+        """Whether a concrete valuation lies in some member zone.
+
+        Accepts what :meth:`DBM.contains` accepts; the valuation is
+        scaled once for all members, not once per zone.
+        """
+        if not self.zones:
+            return False
+        point = ScaledValuation.of(valuation)
+        for zone in self.zones:
+            if zone._holds(point):
+                return True
+        return False
 
     def sample(self):
         """A rational point of the federation (None if empty)."""

@@ -182,8 +182,7 @@ class PackedStrategy(DecisionEngine):
         self.system = system
         self.per_node: Dict[int, NodeStrategy] = dict(enumerate(nodes))
         self._by_key: Dict[tuple, List[NodeStrategy]] = {}
-        self._keys: List[tuple] = []
-        for idx, ns in enumerate(nodes):
+        for ns in nodes:
             key = ns.win.key  # type: ignore[attr-defined]
             self._by_key.setdefault(key, []).append(ns)
 

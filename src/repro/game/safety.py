@@ -239,8 +239,8 @@ class SafetyStrategy:
         return [
             node
             for node in self._by_key.get(state.key, ())
-            if node.zone.contains(state.clocks)
-            and self.result.safe_of(node).contains(state.clocks)
+            if node.zone.contains(state.scaled)
+            and self.result.safe_of(node).contains(state.scaled)
         ]
 
     def decide(self, state):
@@ -260,7 +260,7 @@ class SafetyStrategy:
             if lose is None:
                 continue
             for zone in lose.zones:
-                interval = zone_delay_interval(zone, state.clocks)
+                interval = zone_delay_interval(zone, state.scaled)
                 if interval is None:
                     continue
                 entry = interval.lo
@@ -277,7 +277,7 @@ class SafetyStrategy:
                 target_safe = self.result.safe_of(edge.target)
                 fed = self.system.pred(node.sym, edge.move, target_safe)
                 for zone in fed.zones:
-                    interval = zone_delay_interval(zone, state.clocks)
+                    interval = zone_delay_interval(zone, state.scaled)
                     if interval is None:
                         continue
                     at = interval.pick()

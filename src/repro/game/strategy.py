@@ -22,9 +22,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Optional
 
-from ..dbm import DBM, Federation, INF, decode
+from ..dbm import DBM, Federation, ScaledValuation
 from ..graph.explorer import GraphEdge, GraphNode
 from ..semantics.state import ConcreteState
 from ..semantics.system import DelayInterval, Move
@@ -36,50 +36,54 @@ from .solver import GameResult, NodeWin
 # ----------------------------------------------------------------------
 
 
-def zone_delay_interval(zone: DBM, clocks: Sequence[Fraction]) -> Optional[DelayInterval]:
-    """Delays ``d >= 0`` with ``clocks + d ∈ zone`` (None if never)."""
+def zone_delay_interval(zone: DBM, clocks) -> Optional[DelayInterval]:
+    """Delays ``d >= 0`` with ``clocks + d ∈ zone`` (None if never).
+
+    ``clocks`` is a valuation or a :class:`~repro.dbm.ScaledValuation`;
+    the bounds are worked out in its scaled integers against the zone's
+    cached :meth:`~repro.dbm.DBM.int_bounds`, and only the two ends become
+    ``Fraction`` s.
+    """
     if zone.is_empty():
         return None
-    lo = Fraction(0)
+    den, ints = ScaledValuation.of(clocks)
+    lo = 0
     lo_strict = False
-    hi: Optional[Fraction] = None
+    hi: Optional[int] = None
     hi_strict = False
-    for i in range(zone.dim):
-        for j in range(zone.dim):
-            if i == j:
-                continue
-            enc = int(zone.m[i, j])
-            if enc >= INF:
-                continue
-            value, strict = decode(enc)
-            vi = clocks[i] if i else Fraction(0)
-            vj = clocks[j] if j else Fraction(0)
-            if i != 0 and j != 0:
-                diff = vi - vj
-                if diff > value or (diff == value and strict):
-                    return None
-                continue
-            if j == 0:
-                slack = Fraction(value) - vi
-                if hi is None or slack < hi or (slack == hi and strict and not hi_strict):
-                    hi, hi_strict = slack, strict
-            else:
-                need = -Fraction(value) - vj
-                if need > lo or (need == lo and strict and not lo_strict):
-                    lo, lo_strict = need, strict
-    interval = DelayInterval(lo, lo_strict, hi, hi_strict)
+    for i, j, c, nonstrict in zone.int_bounds():
+        if i and j:
+            if ints[i] - ints[j] - c * den >= nonstrict:
+                return None
+            continue
+        strict = not nonstrict
+        if j == 0:
+            slack = c * den - ints[i]
+            if hi is None or slack < hi or (slack == hi and strict and not hi_strict):
+                hi, hi_strict = slack, strict
+        else:
+            need = -c * den - ints[j]
+            if need > lo or (need == lo and strict and not lo_strict):
+                lo, lo_strict = need, strict
+    interval = DelayInterval(
+        Fraction(lo, den),
+        lo_strict,
+        None if hi is None else Fraction(hi, den),
+        hi_strict,
+    )
     if interval.is_empty():
         return None
     return interval
 
 
-def federation_delay_candidates(
-    fed: Federation, clocks: Sequence[Fraction]
-) -> List[Fraction]:
+def federation_delay_candidates(fed: Federation, clocks) -> List[Fraction]:
     """Representative positive delays entering each zone of a federation."""
     out: List[Fraction] = []
+    if not fed.zones:
+        return out
+    point = ScaledValuation.of(clocks)
     for zone in fed.zones:
-        interval = zone_delay_interval(zone, clocks)
+        interval = zone_delay_interval(zone, point)
         if interval is None:
             continue
         pick = interval.pick()
@@ -155,7 +159,7 @@ class DecisionEngine:
         return [
             ns
             for ns in self._by_key.get(state.key, ())
-            if ns.win.win.contains(state.clocks)
+            if ns.win.win.contains(state.scaled)
         ]
 
     def rank(self, state: ConcreteState) -> Optional[int]:
@@ -163,7 +167,7 @@ class DecisionEngine:
         ranks = [
             r
             for ns in self._matching(state)
-            if (r := ns.win.rank_of(state.clocks)) is not None
+            if (r := ns.win.rank_of(state.scaled)) is not None
         ]
         return min(ranks) if ranks else None
 
@@ -172,37 +176,38 @@ class DecisionEngine:
         matching = self._matching(state)
         if not matching:
             return Decision(Verdictish.LOST)
-        immediate = self._immediate(matching, state.clocks)
+        point = state.scaled
+        immediate = self._immediate(matching, point)
         if immediate is not None:
             return immediate
         # Wait: find the earliest future instant where an action (or goal)
         # decision applies, staying inside the winning set.
         candidates: List[Fraction] = []
         for ns in matching:
-            candidates.extend(federation_delay_candidates(ns.goal, state.clocks))
+            candidates.extend(federation_delay_candidates(ns.goal, point))
             for decision in ns.actions:
                 candidates.extend(
-                    federation_delay_candidates(decision.fed, state.clocks)
+                    federation_delay_candidates(decision.fed, point)
                 )
         for d in sorted(set(c for c in candidates if c > 0)):
             future = state.delayed(d)
             future_matching = self._matching(future)
             if not future_matching:
                 continue
-            if self._immediate(future_matching, future.clocks) is not None:
+            if self._immediate(future_matching, future.scaled) is not None:
                 return Decision(Verdictish.WAIT, delay=d)
         return Decision(Verdictish.WAIT, delay=None)
 
     def _immediate(
-        self, matching: List[NodeStrategy], clocks: Sequence[Fraction]
+        self, matching: List[NodeStrategy], point: ScaledValuation
     ) -> Optional[Decision]:
         for ns in matching:
-            if ns.goal.contains(clocks):
+            if ns.goal.contains(point):
                 return Decision(Verdictish.DONE)
         best: Optional[ActionDecision] = None
         rank = None
         for ns in matching:
-            node_rank = ns.win.rank_of(clocks)
+            node_rank = ns.win.rank_of(point)
             if node_rank is None:
                 continue
             if rank is None or node_rank < rank:
@@ -213,7 +218,7 @@ class DecisionEngine:
             for decision in ns.actions:
                 if decision.step >= rank:
                     continue
-                if decision.fed.contains(clocks):
+                if decision.fed.contains(point):
                     if best is None or decision.step < best.step:
                         best = decision
         if best is not None:

@@ -11,9 +11,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import Tuple
 
-from ..dbm import DBM
+from ..dbm import DBM, ScaledValuation
 
 DiscreteKey = Tuple[Tuple[int, ...], Tuple[int, ...]]
 
@@ -43,7 +44,10 @@ class ConcreteState:
     """(location vector, variable values, exact clock valuation).
 
     ``clocks[0]`` is the reference clock and always 0; real clocks are at
-    indices 1..dim-1, mirroring DBM layout.
+    indices 1..dim-1, mirroring DBM layout.  :attr:`scaled` is the same
+    valuation over one common denominator, computed once per state: every
+    zone test of the state (:meth:`in_zone`, strategy lookups) is integer
+    arithmetic against it (see :meth:`repro.dbm.DBM.contains`).
     """
 
     locs: Tuple[int, ...]
@@ -63,8 +67,13 @@ class ConcreteState:
         new_clocks = (Fraction(0),) + tuple(c + d for c in self.clocks[1:])
         return ConcreteState(self.locs, self.vars, new_clocks)
 
+    @cached_property
+    def scaled(self) -> ScaledValuation:
+        """``clocks`` scaled to integers over a common denominator."""
+        return ScaledValuation.of(self.clocks)
+
     def in_zone(self, zone: DBM) -> bool:
-        return zone.contains(self.clocks)
+        return zone.contains(self.scaled)
 
 
 def zero_valuation(dim: int) -> Tuple[Fraction, ...]:

@@ -19,8 +19,19 @@ from repro.dbm.bounds import (
     le,
     lt,
     negate,
-    satisfies,
 )
+from repro.dbm import DBM
+
+
+def satisfies(difference, enc):
+    """Whether ``x1 - x2 == difference`` meets ``x1 - x2 ≺ enc``.
+
+    Asked of :meth:`DBM.contains`, the integer-scaled membership test,
+    on a two-clock zone carrying only that bound.
+    """
+    zone = DBM.from_constraints(3, [(1, 2, enc)])
+    offset = abs(difference)
+    return zone.contains((0, difference + offset, offset))
 
 
 class TestEncoding:

@@ -181,3 +181,55 @@ class TestAdversarialSimulation:
         assert simulate_against_random_plant(
             output_choice_game, "control: A<> P.goal || P.trap", seed
         )
+
+
+#: SHA-256 over ``(verdict, reason, iterations, str(trace))`` of the 400
+#: Smart Light sessions of :func:`smartlight_session_digest`.  Any change
+#: to strategy lookup, session stepping or trace rendering that alters a
+#: single verdict, iteration count or trace byte changes it.
+SMARTLIGHT_SESSIONS_DIGEST = (
+    "69ba6aa45611622fd95db1959b1d93ae4306800d66de9dcde09057c9af0fb264"
+)
+
+
+def smartlight_session_digest(strategy, plant, count=400):
+    """Run ``count`` in-process sessions; every 5th uses an eager plant."""
+    import hashlib
+
+    from repro.testing import (
+        EagerPolicy,
+        RandomPolicy,
+        SimulatedImplementation,
+        TestExecutor,
+    )
+
+    digest = hashlib.sha256()
+    for i in range(count):
+        policy = EagerPolicy() if i % 5 == 0 else RandomPolicy(i)
+        implementation = SimulatedImplementation(plant, policy)
+        run = TestExecutor(strategy, plant, implementation).run()
+        record = (run.verdict, run.reason, run.iterations, str(run.trace))
+        digest.update(repr(record).encode())
+    return digest.hexdigest()
+
+
+class TestPinnedSessionDigest:
+    """Smart Light test runs are pinned byte for byte, for both engines."""
+
+    @pytest.fixture(scope="class")
+    def bundle(self):
+        from repro.server.registry import SpecResolver
+
+        return SpecResolver().resolve({"model": "smartlight"})
+
+    def test_synthesized_strategy(self, bundle):
+        digest = smartlight_session_digest(bundle.strategy, bundle.plant)
+        assert digest == SMARTLIGHT_SESSIONS_DIGEST
+
+    def test_packed_strategy(self, bundle):
+        from repro.game.export import strategy_from_dict, strategy_to_dict
+
+        data = strategy_to_dict(bundle.strategy)
+        packed = strategy_from_dict(bundle.strategy.system, data)
+        digest = smartlight_session_digest(packed, bundle.plant)
+        assert digest == SMARTLIGHT_SESSIONS_DIGEST
